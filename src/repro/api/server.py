@@ -27,7 +27,7 @@ A minimal JSON-over-HTTP server on the stdlib event loop
 ``POST /shutdown``                graceful shutdown (same path as SIGTERM)
 ================================  =============================================
 
-Eligible submissions (``repeats == 1``, no trace facet, ``shards == 1``)
+Eligible submissions (``repeats == 1``, no trace facet)
 are stamped with a persistence facet keyed ``run/<run id>``, so every
 finished run's backend state is checkpointed into the service's store and
 its peers become queryable under ``/reputation/...`` — including after a
@@ -207,9 +207,7 @@ class ReputationServer:
         with self._lock:
             run_id = f"r{self._next_run}"
             self._next_run += 1
-        eligible = (
-            request.trace is None and request.repeats == 1 and request.shards == 1
-        )
+        eligible = request.trace is None and request.repeats == 1
         if eligible:
             request = request.with_updates(
                 persist=PersistSpec(store=self.store_url, key=f"run/{run_id}")
@@ -474,6 +472,8 @@ class ReputationServer:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "malformed Content-Length") from None
+                if content_length < 0:
+                    raise _HttpError(400, "malformed Content-Length")
         body: dict[str, Any] | None = None
         if content_length:
             raw = await reader.readexactly(content_length)

@@ -1,4 +1,4 @@
-"""The performance-benchmark subsystem (``python -m repro.bench``).
+"""The performance-benchmark subsystem (``python -m repro bench``).
 
 Measures the membership-change hot path this library's scalability hinges on
 — end-to-end transactions/sec on growth-heavy workloads, plus ring-operation

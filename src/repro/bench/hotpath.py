@@ -19,7 +19,6 @@ wall-clock time), which is asserted into the report as ``bit_identical``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -30,6 +29,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..config import SimulationParameters
+from ..metrics.summary import summary_digest
 from ..ids import PeerId
 from ..overlay.assignment import ScoreManagerAssignment
 from ..overlay.ring import ChordRing
@@ -42,10 +42,8 @@ __all__ = [
     "legacy_membership_path",
     "bench_end_to_end",
     "bench_quick_reference",
-    "bench_sharding",
     "bench_ring_ops",
     "bench_assignment_lookup",
-    "bench_event_queue",
     "bench_eigentrust_refresh",
     "run_hotpath_benchmarks",
     "compare_reports",
@@ -147,27 +145,12 @@ def legacy_membership_path() -> Iterator[None]:
 # --------------------------------------------------------------------- #
 # End-to-end throughput                                                   #
 # --------------------------------------------------------------------- #
-def _summary_digest(summary_doc: dict[str, Any]) -> str:
-    """Digest of a run-summary document, ignoring execution metadata.
-
-    Wall-clock time and sharding telemetry both describe how a run executed,
-    not what it computed — stripping them is what lets the serial, legacy
-    and sharded paths assert bit-identity against each other.
-    """
-    doc = dict(summary_doc)
-    doc.pop("elapsed_seconds", None)
-    doc.pop("sharding", None)
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 def _timed_run(params: SimulationParameters) -> tuple[float, str]:
     """One simulation run: (elapsed seconds, result digest)."""
     started = time.perf_counter()
     summary = run_simulation(params)
     elapsed = time.perf_counter() - started
-    return elapsed, _summary_digest(summary.to_dict())
+    return elapsed, summary_digest(summary)
 
 
 def _best_timed_run(params: SimulationParameters, samples: int) -> tuple[float, str]:
@@ -267,93 +250,6 @@ def bench_quick_reference(samples: int = 3) -> list[dict[str, Any]]:
     return rows
 
 
-def bench_sharding(samples: int = 3) -> dict[str, Any]:
-    """Sharded-engine and SoA-column throughput at the CI gate's quick size.
-
-    Like ``quick_reference``, these rows are measured at the quick scale in
-    *every* report — the committed full-size baseline and the CI ``--quick``
-    run alike — so the perf gate always has a same-scale yardstick.  Each
-    row records ``tx_per_sec`` (the minimum over ``samples`` runs, the
-    baseline side of the gate) and ``best_tx_per_sec`` (the maximum, the
-    current side), the quick-reference noise discipline.  Every row also
-    asserts bit-identity against the serial digest: a sharded engine that is
-    fast but wrong must fail the benchmark, not pass it quietly.
-
-    Row names: ``serial`` (plain engine, SoA columns on — the reference),
-    ``shards_k{1,2,4}`` (sharded epoch loop at each arc count) and
-    ``object_rows`` (SoA columns disabled via ``legacy_rows_path`` — the
-    per-object baseline the columnar layout replaced).
-    """
-    from ..peers.columns import legacy_rows_path
-    from ..sim.sharded import run_sharded_simulation
-
-    quick = HotpathBenchConfig.quick()
-    params = (
-        paper_default(seed=quick.seed)
-        .scaled(quick.num_transactions / _PAPER_HORIZON)
-        .with_overrides(arrival_rate=0.2)  # growth_stress operating point
-    )
-    samples = max(1, samples)
-
-    def row_from(rates: list[float], name: str, **extra: Any) -> dict[str, Any]:
-        return {
-            "name": name,
-            "tx_per_sec": min(rates),
-            "best_tx_per_sec": max(rates),
-            "samples": rates,
-            **extra,
-        }
-
-    _timed_run(params)  # one warm-up run; cheap at quick size
-    serial_rates: list[float] = []
-    serial_digest = ""
-    for _ in range(samples):
-        elapsed, serial_digest = _timed_run(params)
-        serial_rates.append(round(params.num_transactions / elapsed, 1))
-    rows = [row_from(serial_rates, "serial", bit_identical=True)]
-
-    for shards in (1, 2, 4):
-        rates = []
-        digest = ""
-        stats: dict[str, Any] = {}
-        for _ in range(samples):
-            started = time.perf_counter()
-            summary = run_sharded_simulation(params, shards=shards)
-            elapsed = time.perf_counter() - started
-            rates.append(round(params.num_transactions / elapsed, 1))
-            digest = _summary_digest(summary.to_dict())
-            stats = summary.sharding or {}
-        rows.append(
-            row_from(
-                rates,
-                f"shards_k{shards}",
-                bit_identical=digest == serial_digest,
-                epochs=stats.get("epochs"),
-                barriers=stats.get("barriers"),
-                cross_arc_messages=stats.get("cross_arc_messages"),
-            )
-        )
-
-    with legacy_rows_path():
-        object_rates = []
-        object_digest = ""
-        for _ in range(samples):
-            elapsed, object_digest = _timed_run(params)
-            object_rates.append(round(params.num_transactions / elapsed, 1))
-    rows.append(
-        row_from(
-            object_rates, "object_rows", bit_identical=object_digest == serial_digest
-        )
-    )
-    return {
-        "workload": "growth_stress",
-        "num_transactions": params.num_transactions,
-        "arrival_rate": params.arrival_rate,
-        "all_bit_identical": all(row["bit_identical"] for row in rows),
-        "rows": rows,
-    }
-
-
 # --------------------------------------------------------------------- #
 # Microbenchmarks                                                         #
 # --------------------------------------------------------------------- #
@@ -430,49 +326,6 @@ def bench_assignment_lookup(config: HotpathBenchConfig) -> dict[str, Any]:
             "evicted_by_one_join": store.targeted_evictions - evicted_before,
             "elapsed_us": round(eviction_elapsed * 1e6, 2),
         },
-    }
-
-
-def bench_event_queue(config: HotpathBenchConfig) -> dict[str, Any]:
-    """Push/pop throughput of the calendar queue vs the heapq reference.
-
-    Both queues are driven through the identical schedule/pop_due sequence a
-    simulation produces (monotone batched pops over jittered arrival times),
-    so the comparison isolates the queue data structure itself.
-    """
-    from ..sim.event_queue import CalendarEventQueue, EventQueue
-    from ..sim.events import EventKind
-
-    ops = max(1_000, config.lookups * 5)
-
-    def drive(queue: Any) -> float:
-        started = time.perf_counter()
-        time_base = 0.0
-        scheduled = 0
-        while scheduled < ops:
-            # A burst of near-future events, then drain everything due —
-            # the dense-arrival pattern growth workloads produce.
-            for offset in range(8):
-                queue.schedule(
-                    time_base + (offset * 0.37) % 3.0, EventKind.SAMPLE
-                )
-                scheduled += 1
-            time_base += 1.0
-            for _ in queue.pop_due(time_base):
-                pass
-        while queue:
-            queue.pop()
-        return time.perf_counter() - started
-
-    heapq_elapsed = drive(EventQueue())
-    calendar_elapsed = drive(CalendarEventQueue())
-    return {
-        "ops": ops,
-        "heapq_us_per_op": round(heapq_elapsed / ops * 1e6, 3),
-        "calendar_us_per_op": round(calendar_elapsed / ops * 1e6, 3),
-        "speedup": round(heapq_elapsed / calendar_elapsed, 2)
-        if calendar_elapsed > 0
-        else None,
     }
 
 
@@ -560,11 +413,9 @@ def run_hotpath_benchmarks(
         },
         "end_to_end": end_to_end,
         "quick_reference": bench_quick_reference(samples=config.samples),
-        "sharding": bench_sharding(samples=config.samples),
         "micro": {
             "ring_ops": bench_ring_ops(config),
             "assignment_lookup": bench_assignment_lookup(config),
-            "event_queue": bench_event_queue(config),
             "eigentrust_refresh": bench_eigentrust_refresh(config),
         },
         "max_end_to_end_speedup": max(row["speedup"] for row in end_to_end),
@@ -661,45 +512,6 @@ def compare_reports(
                 "baseline_source": source,
                 "delta": round(delta, 4),
                 "regression": gated and new_tx < base_tx * (1.0 - tolerance),
-            }
-        )
-    # Sharding rows gate exactly like quick_reference: both reports measure
-    # them at the quick scale, baseline-worst vs current-best; a scale
-    # mismatch (a baseline from before the section changed size) is reported
-    # but never gated.
-    baseline_sharding = baseline.get("sharding") or {}
-    current_sharding = current.get("sharding") or {}
-    base_rows = {row["name"]: row for row in baseline_sharding.get("rows", [])}
-    new_rows = {row["name"]: row for row in current_sharding.get("rows", [])}
-    same_scale = baseline_sharding.get("num_transactions") == current_sharding.get(
-        "num_transactions"
-    )
-    for name in sorted(base_rows | new_rows):
-        base = base_rows.get(name)
-        new = new_rows.get(name)
-        if base is None or new is None:
-            rows.append(
-                {
-                    "workload": f"sharding:{name}",
-                    "baseline_tx_per_sec": base["tx_per_sec"] if base else None,
-                    "current_tx_per_sec": new["tx_per_sec"] if new else None,
-                    "baseline_source": None,
-                    "delta": None,
-                    "regression": False,
-                }
-            )
-            continue
-        base_tx = base["tx_per_sec"]
-        new_tx = new.get("best_tx_per_sec", new["tx_per_sec"])
-        delta = (new_tx - base_tx) / base_tx if base_tx > 0 else 0.0
-        rows.append(
-            {
-                "workload": f"sharding:{name}",
-                "baseline_tx_per_sec": base_tx,
-                "current_tx_per_sec": new_tx,
-                "baseline_source": "sharding" if same_scale else "scale_mismatch",
-                "delta": round(delta, 4),
-                "regression": same_scale and new_tx < base_tx * (1.0 - tolerance),
             }
         )
     return {

@@ -32,14 +32,11 @@ __all__ = [
 
 #: Subsystem buckets, matched against the path of each profiled function by
 #: the substring ``/repro/<name>/`` (the package layout is the ground
-#: truth).  Match order matters for nested packages: ``sim/sharded`` must
-#: precede ``sim`` or the sharded engine's frames would be lumped into the
-#: core engine bucket and the per-layer shares would lie.
+#: truth).
 SUBSYSTEMS: tuple[str, ...] = (
     "overlay",
     "rocq",
     "reputation",
-    "sim/sharded",
     "sim",
     "metrics",
     "peers",
@@ -56,11 +53,9 @@ _PAPER_HORIZON = 500_000
 def _subsystem_of(filename: str, funcname: str = "") -> str:
     """Map a profiled function's source path (and name) to a subsystem bucket.
 
-    numpy frames get their own bucket: the struct-of-arrays columns route
-    batch phases through vectorised kernels, and attributing those to
-    ``stdlib/other`` (Python-level numpy wrappers) or hiding them among
-    built-ins (the C ufuncs, whose "filename" is ``~``) would understate
-    exactly the layer the SoA migration moved work into.
+    numpy frames get their own bucket rather than being attributed to
+    ``stdlib/other`` (Python-level numpy wrappers) or hidden among built-ins
+    (the C ufuncs, whose "filename" is ``~``).
     """
     normalised = filename.replace("\\", "/")
     if "/repro/" not in normalised:

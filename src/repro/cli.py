@@ -17,11 +17,9 @@ Six subcommands, all thin shims over :class:`repro.api.SimulationService`:
     first diverging event, and ``fuzz`` seeded random-but-valid scenarios
     through property-based invariant checks.
 ``experiment``
-    The experiment suite (tables/figures of the paper), with the exact flags
-    ``python -m repro.experiments.runner`` always had.
+    The experiment suite (tables/figures of the paper).
 ``bench``
-    The hot-path benchmark suite, with the exact flags ``python -m
-    repro.bench`` always had.
+    The hot-path benchmark suite.
 ``catalogue``
     Every registry — reputation schemes, scenarios, adversaries,
     experiments, fuzz generators — as text or ``--json``.
@@ -33,10 +31,6 @@ through.  ``--set`` accepts flat :class:`SimulationParameters` fields and
 dotted adversary fields (``adversary.count=8``,
 ``adversary.options.waves=2``); any other dotted key exits 2 instead of
 being dropped.
-
-The legacy entry points (``python -m repro.experiments.runner``, ``python
--m repro.bench``) remain as deprecation shims that delegate here with
-byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -93,26 +87,6 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
             "persist completed runs here, keyed by (params fingerprint, seed), "
             "and skip any run already present"
         ),
-    )
-
-
-def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
-    """The sharded-engine execution knobs (bit-identical to serial runs)."""
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "partition the ring into this many arcs and run each epoch "
-            "through the sharded engine (1 = plain serial engine; results "
-            "are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--epoch-length",
-        type=_positive_int,
-        default=None,
-        help="sharded engine's epoch window in transaction steps",
     )
 
 
@@ -260,8 +234,6 @@ def _build_request(
         repeats=getattr(args, "repeats", 1),
         label=getattr(args, "label", ""),
         trace=trace,
-        shards=getattr(args, "shards", 1),
-        epoch_length=getattr(args, "epoch_length", None),
     )
 
 
@@ -289,15 +261,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"scheme={params.reputation_scheme}, "
         f"adversary={params.adversary.name if params.adversary else 'none'}, "
         f"backend={backend}"
-        + (f", shards={request.shards}" if request.shards > 1 else "")
     )
-    if request.shards > 1 and result.summaries:
-        sharding = result.summaries[0].sharding or {}
-        print(
-            f"sharding: {sharding.get('epochs', 0)} epoch(s), "
-            f"{sharding.get('barriers', 0)} barrier(s), "
-            f"{sharding.get('cross_arc_messages', 0)} cross-arc message(s)"
-        )
     metrics = [
         ("decision success rate", lambda s: s.success_rate),
         ("cooperative arrivals", lambda s: float(s.arrivals_cooperative)),
@@ -783,7 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-run progress on stderr"
     )
     _add_executor_options(run_parser)
-    _add_sharding_options(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
     serve_parser = subparsers.add_parser(
@@ -906,7 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-run progress on stderr"
     )
     _add_executor_options(replay_parser)
-    _add_sharding_options(replay_parser)
     replay_parser.set_defaults(handler=_cmd_trace_replay)
 
     diff_parser = trace_subparsers.add_parser(
@@ -979,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment_parser = subparsers.add_parser(
         "experiment",
-        help="regenerate the paper's tables and figures (the legacy runner)",
+        help="regenerate the paper's tables and figures",
     )
     experiment_parser.add_argument(
         "--scale",

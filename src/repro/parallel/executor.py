@@ -76,8 +76,6 @@ def execute_spec(spec: RunSpec) -> RunSummary:
             seed=spec.seed,
             record=spec.trace_record_to is not None,
             digest_every=spec.trace_digest_every,
-            shards=spec.shards,
-            epoch_length=spec.epoch_length,
         )
         if new_log is not None:
             assert spec.trace_record_to is not None
@@ -102,19 +100,6 @@ def execute_spec(spec: RunSpec) -> RunSummary:
             )
         finally:
             store.close()
-    if spec.shards > 1:
-        # The sharded driver produces bit-identical results (pinned by the
-        # golden-digest tests); plan fan-out runs inline here because a spec
-        # may already be executing inside a pool worker, where nesting
-        # another pool would oversubscribe the host.
-        from ..sim.sharded import run_sharded_simulation
-
-        return run_sharded_simulation(
-            spec.params,
-            seed=spec.seed,
-            shards=spec.shards,
-            epoch_length=spec.epoch_length,
-        )
     return run_simulation(spec.params, seed=spec.seed)
 
 
@@ -135,16 +120,6 @@ class Executor:
         ``on_result`` (if given) is invoked in the calling process with
         ``(index, summary)`` as each run completes — in completion order,
         not spec order — so callers can persist results incrementally.
-        """
-        raise NotImplementedError
-
-    def map_calls(self, fn: Callable, payloads: Sequence[tuple]) -> list:
-        """Apply ``fn`` to every payload tuple; results in payload order.
-
-        The generic sibling of :meth:`map_specs` for non-``RunSpec`` work —
-        the sharded engine fans its per-arc epoch plans out through it.
-        ``fn`` must be a module-level callable and every payload picklable so
-        the process backend can ship them to workers.
         """
         raise NotImplementedError
 
@@ -181,9 +156,6 @@ class SerialExecutor(Executor):
                 on_result(index, summary)
             results.append(summary)
         return results
-
-    def map_calls(self, fn: Callable, payloads: Sequence[tuple]) -> list:
-        return [fn(*payload) for payload in payloads]
 
 
 class _PoolExecutor(Executor):
@@ -247,18 +219,6 @@ class _PoolExecutor(Executor):
                 future.cancel()
             raise
         return results  # type: ignore[return-value]  # every slot filled above
-
-    def map_calls(self, fn: Callable, payloads: Sequence[tuple]) -> list:
-        if not payloads:
-            return []
-        pool = self._get_pool()
-        submitted = [pool.submit(fn, *payload) for payload in payloads]
-        try:
-            return [future.result() for future in submitted]
-        except BaseException:
-            for future in submitted:
-                future.cancel()
-            raise
 
 
 class ThreadExecutor(_PoolExecutor):
@@ -329,16 +289,12 @@ def run_specs(
     for index, spec in enumerate(specs):
         # Traced specs bypass the cache entirely: a cache-served "recording"
         # would never write its trace file, and a cache-served replay would
-        # mask what the replay actually produced.  Sharded specs bypass it
-        # too — results are bit-identical to serial, but the summary carries
-        # the run's sharding telemetry, which a cached serial document lacks
-        # (and which must never leak *into* the shared cache).  Persisted
-        # specs bypass it as well: the checkpoint into the durable store is
-        # the point of the run, and a cache hit would skip the state write.
+        # mask what the replay actually produced.  Persisted specs bypass it
+        # as well: the checkpoint into the durable store is the point of the
+        # run, and a cache hit would skip the state write.
         if (
             cache is not None
             and spec.trace_mode is None
-            and spec.shards <= 1
             and spec.persist_path is None
         ):
             cached = cache.get(spec.params, spec.seed)
@@ -359,7 +315,6 @@ def run_specs(
         if (
             cache is not None
             and spec.trace_mode is None
-            and spec.shards <= 1
             and spec.persist_path is None
         ):
             cache.put(spec.params, spec.seed, summary)

@@ -62,17 +62,6 @@ class RunSpec:
         Replay only — also record the replayed run's trace to this path.
     trace_digest_every:
         State-digest cadence while recording (1 = every record).
-    shards:
-        Number of ring arcs the sharded engine partitions the run into;
-        ``1`` (the default) runs the plain serial engine.  An *execution*
-        knob like ``--jobs``, not part of the run's identity: results are
-        bit-identical for every value, so it is excluded from
-        :func:`params_fingerprint` (which hashes only ``params``) and
-        sharded specs bypass the run cache (see
-        :func:`repro.parallel.executor.run_specs`).
-    epoch_length:
-        Epoch window of the sharded engine, in transaction steps; ``None``
-        uses :data:`repro.sim.sharded.DEFAULT_EPOCH_LENGTH`.
     persist_path:
         Durable-store URL (``sqlite://...``, ``memory://name``) or bare
         sqlite path the run checkpoints its backend state to on finalize
@@ -99,8 +88,6 @@ class RunSpec:
     trace_path: str | None = None
     trace_record_to: str | None = None
     trace_digest_every: int = 1
-    shards: int = 1
-    epoch_length: int | None = None
     persist_path: str | None = None
     persist_key: str | None = None
     persist_resume: bool = False

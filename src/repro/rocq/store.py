@@ -437,10 +437,10 @@ class ReputationStore:
     def reputations_for(self, subjects: Iterable[PeerId]) -> list[float]:
         """Combined reputations of many subjects, aligned with the input.
 
-        The bulk form of :meth:`global_reputation` the metrics sampler (and
-        the sharded engine's epoch refresh) calls once per batch: between two
-        samples the overwhelming majority of subjects are untouched, so most
-        answers come straight out of the memo dict without a method call.
+        The bulk form of :meth:`global_reputation` the metrics sampler calls
+        once per sample: between two samples the overwhelming majority of
+        subjects are untouched, so most answers come straight out of the
+        memo dict without a method call.
         """
         cache_get = self._reputation_cache.get
         global_reputation = self.global_reputation

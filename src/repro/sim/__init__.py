@@ -19,7 +19,7 @@ reproduces that model:
 """
 
 from .events import Event, EventKind
-from .event_queue import CalendarEventQueue, EventQueue
+from .event_queue import EventQueue
 from .clock import SimulationClock
 from .arrivals import ArrivalFactory, PoissonArrivalProcess
 from .transactions import TransactionOutcome, TransactionEngine
@@ -29,7 +29,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventQueue",
-    "CalendarEventQueue",
     "SimulationClock",
     "ArrivalFactory",
     "PoissonArrivalProcess",

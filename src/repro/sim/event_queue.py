@@ -1,20 +1,8 @@
-"""Deterministic priority queues of simulation events.
+"""Deterministic priority queue of simulation events.
 
-Two implementations share the same API and the same (time, insertion
-sequence) ordering contract:
-
-* :class:`EventQueue` — the classic binary-heap queue.  Kept as the
-  reference implementation the property tests compare against.
-* :class:`CalendarEventQueue` — a bucketed calendar queue.  Events are
-  binned by ``floor(time / bucket_width)``; each bin is a small heap, and a
-  heap of bin indices finds the next non-empty bin.  With the engine's
-  one-transaction-per-time-unit workload almost every bin holds only a
-  handful of events, so pushes and pops touch a few-element heap instead of
-  one spanning the whole horizon.
-
-The pop order of the two queues is identical for any schedule/pop sequence
-(property-tested), so the engine can use the calendar queue while tests and
-third-party callers keep the heap version.
+:class:`EventQueue` is a binary heap ordered by (time, insertion sequence):
+events at the same time pop in the order they were scheduled, so a run is
+reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -26,7 +14,7 @@ from typing import Any, Iterator
 from ..errors import SimulationError
 from .events import Event, EventKind
 
-__all__ = ["EventQueue", "CalendarEventQueue"]
+__all__ = ["EventQueue"]
 
 
 @dataclass
@@ -66,17 +54,6 @@ class EventQueue:
         while self._heap and self._heap[0].time <= time:
             yield self.pop()
 
-    def pending_due(self, time: float) -> list[Event]:
-        """Every pending event with time <= ``time``, in pop order, not removed.
-
-        A read-only snapshot for the sharded engine's plan phase: shard
-        workers classify and route these events while the queue itself stays
-        untouched, so the subsequent real pops see exactly the same stream.
-        """
-        due = [event for event in self._heap if event.time <= time]
-        due.sort(key=lambda event: (event.time, event.sequence))
-        return due
-
     def next_time(self) -> float:
         """Time of the earliest pending event (inf when empty)."""
         return self._heap[0].time if self._heap else float("inf")
@@ -86,107 +63,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-@dataclass
-class CalendarEventQueue:
-    """Bucketed calendar queue with the same ordering contract as :class:`EventQueue`.
-
-    Buckets are keyed by ``floor(time / bucket_width)``; the bucket index is
-    monotone in time, so the smallest live bucket always holds the globally
-    earliest event and cross-bucket ordering needs no comparisons at all.
-    Within a bucket, events are a min-heap ordered by (time, sequence) —
-    exactly the reference queue's total order.  Emptied buckets are removed
-    lazily: a stale index at the top of the bucket heap is discarded on the
-    next lookup.
-    """
-
-    bucket_width: float = 1.0
-    _buckets: dict[int, list[Event]] = field(default_factory=dict, repr=False)
-    _bucket_heap: list[int] = field(default_factory=list, repr=False)
-    _size: int = 0
-    _sequence: int = 0
-    _last_popped_time: float = float("-inf")
-
-    def schedule(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Insert an event at ``time``; scheduling into the past is an error."""
-        if time < self._last_popped_time:
-            raise SimulationError(
-                f"cannot schedule an event at t={time:g}, already processed up "
-                f"to t={self._last_popped_time:g}"
-            )
-        event = Event(time=time, sequence=self._sequence, kind=kind, payload=payload)
-        self._sequence += 1
-        index = int(time // self.bucket_width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            # A single-element list satisfies the heap invariant as-is.
-            self._buckets[index] = [event]
-            heapq.heappush(self._bucket_heap, index)
-        else:
-            heapq.heappush(bucket, event)
-        self._size += 1
-        return event
-
-    def _min_bucket(self) -> list[Event] | None:
-        """The bucket holding the earliest event, discarding stale indices."""
-        heap = self._bucket_heap
-        buckets = self._buckets
-        while heap:
-            bucket = buckets.get(heap[0])
-            if bucket:
-                return bucket
-            if heap[0] in buckets:
-                del buckets[heap[0]]
-            heapq.heappop(heap)
-        return None
-
-    def peek(self) -> Event | None:
-        """The earliest pending event without removing it (None when empty)."""
-        bucket = self._min_bucket()
-        return bucket[0] if bucket else None
-
-    def pop(self) -> Event:
-        """Remove and return the earliest pending event."""
-        bucket = self._min_bucket()
-        if bucket is None:
-            raise SimulationError("pop() on an empty event queue")
-        event = heapq.heappop(bucket)
-        self._size -= 1
-        self._last_popped_time = event.time
-        return event
-
-    def pop_due(self, time: float) -> Iterator[Event]:
-        """Yield every event whose time is <= ``time``, in order."""
-        while True:
-            bucket = self._min_bucket()
-            if not bucket or bucket[0].time > time:
-                return
-            yield self.pop()
-
-    def pending_due(self, time: float) -> list[Event]:
-        """Every pending event with time <= ``time``, in pop order, not removed.
-
-        Same contract as :meth:`EventQueue.pending_due`; only buckets at or
-        below the horizon's bucket index can hold due events, so the scan
-        skips everything scheduled further out.
-        """
-        horizon_bucket = int(time // self.bucket_width)
-        due: list[Event] = []
-        for index, bucket in self._buckets.items():
-            if index > horizon_bucket:
-                continue
-            due.extend(event for event in bucket if event.time <= time)
-        due.sort(key=lambda event: (event.time, event.sequence))
-        return due
-
-    def next_time(self) -> float:
-        """Time of the earliest pending event (inf when empty)."""
-        bucket = self._min_bucket()
-        return bucket[0].time if bucket else float("inf")
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0

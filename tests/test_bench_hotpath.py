@@ -1,4 +1,4 @@
-"""Tests for the hot-path benchmark subsystem (``repro.bench``)."""
+"""Tests for the hot-path benchmark subsystem (``python -m repro bench``)."""
 
 from __future__ import annotations
 
@@ -18,12 +18,18 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.hotpath import compare_reports, format_compare_table
-from repro.bench.__main__ import main as bench_main
+from repro.cli import main as cli_main
 from repro.overlay.ring import ChordRing
 from repro.rocq.store import ReputationStore
 
+
+def bench_main(argv: list[str]) -> int:
+    """``python -m repro bench`` with ``argv``."""
+    return cli_main(["bench", *argv])
+
+
 #: Sub-second sizes so the suite stays fast; the real trajectory numbers are
-#: produced by ``python -m repro.bench`` at the default sizes.
+#: produced by ``python -m repro bench`` at the default sizes.
 TINY = HotpathBenchConfig(
     num_transactions=60,
     ring_sizes=(32,),
@@ -48,7 +54,6 @@ EXPECTED_TOP_KEYS = {
     "config",
     "end_to_end",
     "quick_reference",
-    "sharding",
     "micro",
     "profile",
     "max_end_to_end_speedup",
@@ -57,7 +62,6 @@ EXPECTED_TOP_KEYS = {
 EXPECTED_MICRO_KEYS = {
     "ring_ops",
     "assignment_lookup",
-    "event_queue",
     "eigentrust_refresh",
 }
 #: Provenance fields that make cross-machine comparisons interpretable.
@@ -262,9 +266,9 @@ class TestCli:
         assert "report written to" in captured.out
 
     def test_warmup_flag_overrides_the_config(self, tmp_path, monkeypatch):
-        # The CLI (python -m repro bench, which the repro.bench shim
-        # delegates to) runs the suite via SimulationService.bench, which
-        # resolves run_hotpath_benchmarks on the hotpath module at call time.
+        # The CLI (python -m repro bench) runs the suite via
+        # SimulationService.bench, which resolves run_hotpath_benchmarks on
+        # the hotpath module at call time.
         import repro.bench.hotpath as hotpath_module
 
         seen: dict[str, int] = {}

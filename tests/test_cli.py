@@ -1,4 +1,4 @@
-"""Tests for the consolidated CLI (``python -m repro``) and the legacy shims.
+"""Tests for the consolidated CLI (``python -m repro``).
 
 The contracts pinned here:
 
@@ -6,9 +6,7 @@ The contracts pinned here:
   both text and ``--json`` modes;
 * ``run`` executes end-to-end and its digest matches the service path;
 * unknown scheme/scenario/adversary/experiment names exit with code 2 and
-  a did-you-mean hint, consistently across subcommands;
-* the deprecated entry points (``python -m repro.experiments.runner``,
-  ``python -m repro.bench``) delegate with byte-identical stdout.
+  a did-you-mean hint, consistently across subcommands.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import pytest
 
 from repro import cli
 from repro.api import catalogue
-from repro.bench.__main__ import main as bench_main
-from repro.experiments import runner
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -336,73 +332,3 @@ class TestExperimentSubcommand:
         assert "Reproduction report" in out
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "table1.json").exists()
-
-
-class TestLegacyShims:
-    """The deprecated entry points delegate with byte-identical stdout."""
-
-    RUNNER_ARGS = ["--scale", "0.01", "--repeats", "1", "--only", "table1"]
-
-    def test_runner_shim_stdout_identical_for_tiny_run(self, capsys):
-        legacy_exit = runner.main(self.RUNNER_ARGS)
-        legacy = capsys.readouterr()
-        new_exit = cli.main(["experiment", *self.RUNNER_ARGS])
-        new = capsys.readouterr()
-        assert legacy_exit == new_exit == 0
-        assert legacy.out == new.out
-        assert "deprecated" in legacy.err
-
-    @pytest.mark.parametrize(
-        "flag,section",
-        [("--list-scenarios", "scenarios"), ("--list-adversaries", "adversaries")],
-    )
-    def test_runner_listing_flags_map_to_catalogue(self, capsys, flag, section):
-        legacy_exit = runner.main([flag])
-        legacy = capsys.readouterr()
-        new_exit = cli.main(["catalogue", section])
-        new = capsys.readouterr()
-        assert legacy_exit == new_exit == 0
-        assert legacy.out == new.out
-
-    def test_bench_shim_stdout_identical(self, tmp_path, capsys, monkeypatch):
-        # Patch the suite itself so the comparison is instant; the shim and
-        # the CLI must then print the same report lines.
-        import repro.bench.hotpath as hotpath_module
-
-        def fake_run(config):
-            return {
-                "end_to_end": [],
-                "micro": {
-                    "ring_ops": [],
-                    "assignment_lookup": {
-                        "cold_us_per_lookup": 1.0,
-                        "cached_us_per_lookup": 1.0,
-                        "cache_speedup": 1.0,
-                        "targeted_eviction": {
-                            "evicted_by_one_join": 0,
-                            "cached_subjects": 0,
-                        },
-                    },
-                },
-                "all_bit_identical": True,
-            }
-
-        monkeypatch.setattr(hotpath_module, "run_hotpath_benchmarks", fake_run)
-        legacy_exit = bench_main(
-            ["--quick", "--out", str(tmp_path / "legacy.json")]
-        )
-        legacy = capsys.readouterr()
-        new_exit = cli.main(
-            ["bench", "--quick", "--out", str(tmp_path / "new.json")]
-        )
-        new = capsys.readouterr()
-        assert legacy_exit == new_exit == 0
-        assert "deprecated" in legacy.err
-        # Same stdout modulo the differing --out path on the last line.
-        strip = lambda text: [  # noqa: E731 - tiny local helper
-            line for line in text.splitlines()
-            if not line.startswith("report written to")
-        ]
-        assert strip(legacy.out) == strip(new.out)
-        assert (tmp_path / "legacy.json").exists()
-        assert (tmp_path / "new.json").exists()

@@ -277,9 +277,8 @@ class TestEngineLabels:
         assert "adversary_identities" not in summary.to_dict()
 
     def test_labels_never_perturb_the_digest_document(self):
-        """Mirror of the sharding regression: the digest is the currency of
-        golden tests and trace replay, so derived observability data must be
-        stripped before hashing."""
+        """The digest is the currency of golden tests and trace replay, so
+        derived observability data must be stripped before hashing."""
         summary = run_simulation(adversary_params())
         document = summary.to_dict()
         assert "adversary_identities" in document

@@ -2,12 +2,11 @@
 
 Three safety nets around the profile-guided optimisation pass:
 
-* **Queue equivalence** — the bucketed :class:`CalendarEventQueue` must
-  produce exactly the heapq :class:`EventQueue`'s pop order for any
-  schedule/pop interleaving, including raising on past-time scheduling at
-  the same points.
+* **Queue ordering** — the heap :class:`EventQueue` must pop in exactly
+  the (time, insertion sequence) order of a sorted-list oracle for any
+  schedule/pop interleaving.
 * **Golden digests** — every optimised layer (incremental EigenTrust,
-  batched/inlined ROCQ aggregation, slotted events + calendar queue) must
+  batched/inlined ROCQ aggregation, slotted events) must
   reproduce the summary digests recorded on the pre-optimisation engine.
 * **Trace replay** — a trace recorded before the optimisation round must
   replay bit-identically on the optimised engine.
@@ -25,7 +24,7 @@ from repro.errors import SimulationError
 from repro.metrics.summary import summary_digest
 from repro.reputation.eigentrust import EigenTrust
 from repro.sim.engine import Simulation
-from repro.sim.event_queue import CalendarEventQueue, EventQueue
+from repro.sim.event_queue import EventQueue
 from repro.sim.events import EventKind
 from repro.trace import TraceLog, replay_simulation
 from repro.workloads.scenarios import paper_default
@@ -59,21 +58,19 @@ def _params_for(name):
 
 
 # --------------------------------------------------------------------- #
-# Calendar queue == heapq reference                                       #
+# Heap queue == sorted (time, sequence) oracle                           #
 # --------------------------------------------------------------------- #
-class TestCalendarQueueEquivalence:
+class TestEventQueueOrdering:
     def _random_driver(self, seed: int, steps: int = 400):
-        """Drive both queues through one randomized schedule/pop script.
+        """Drive the queue and a sorted-list oracle through one random script.
 
-        Yields after each step so assertions can interleave; operations are
-        drawn so that both in-order scheduling, duplicate times, same-time
-        ties (ordered by insertion sequence) and past-time errors occur.
+        Operations are drawn so that in-order scheduling, duplicate times and
+        same-time ties (ordered by insertion sequence) all occur; after every
+        step the queue must agree with the oracle on size and next time.
         """
         rng = np.random.default_rng(seed)
-        reference = EventQueue()
-        calendar = CalendarEventQueue(
-            bucket_width=float(rng.choice([0.25, 1.0, 3.0]))
-        )
+        queue = EventQueue()
+        oracle: list[tuple[float, int]] = []
         kinds = list(EventKind)
         clock = 0.0
         for _ in range(steps):
@@ -83,38 +80,39 @@ class TestCalendarQueueEquivalence:
                 # occasionally exactly "now" (ties with popped history).
                 time = clock + float(rng.choice([0.0, rng.random() * 4, 40.0]))
                 kind = kinds[int(rng.integers(len(kinds)))]
-                assert (
-                    reference.schedule(time, kind).time
-                    == calendar.schedule(time, kind).time
-                )
-            elif op < 0.8 and reference:
-                popped_ref = reference.pop()
-                popped_cal = calendar.pop()
-                assert (popped_ref.time, popped_ref.sequence) == (
-                    popped_cal.time,
-                    popped_cal.sequence,
-                )
-                clock = popped_ref.time
+                event = queue.schedule(time, kind)
+                assert event.time == time
+                oracle.append((event.time, event.sequence))
+                oracle.sort()
+            elif op < 0.8 and queue:
+                popped = queue.pop()
+                assert (popped.time, popped.sequence) == oracle.pop(0)
+                clock = popped.time
             else:
                 horizon = clock + float(rng.random() * 3)
-                drained_ref = [(e.time, e.sequence) for e in reference.pop_due(horizon)]
-                drained_cal = [(e.time, e.sequence) for e in calendar.pop_due(horizon)]
-                assert drained_ref == drained_cal
-                if drained_ref:
-                    clock = drained_ref[-1][0]
-            assert len(reference) == len(calendar)
-            assert reference.next_time() == calendar.next_time()
-        return reference, calendar
+                drained = [(e.time, e.sequence) for e in queue.pop_due(horizon)]
+                due = [entry for entry in oracle if entry[0] <= horizon]
+                assert drained == due
+                del oracle[: len(due)]
+                if drained:
+                    clock = drained[-1][0]
+            assert len(queue) == len(oracle)
+            assert queue.next_time() == (oracle[0][0] if oracle else float("inf"))
+        return queue, oracle
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_identical_pop_order_over_random_schedules(self, seed):
-        reference, calendar = self._random_driver(seed)
-        remaining_ref = [(e.time, e.sequence) for e in reference.pop_due(float("inf"))]
-        remaining_cal = [(e.time, e.sequence) for e in calendar.pop_due(float("inf"))]
-        assert remaining_ref == remaining_cal
-        assert not reference and not calendar
+    def test_pop_order_matches_sorted_oracle(self, seed):
+        queue, oracle = self._random_driver(seed)
+        remaining = [(e.time, e.sequence) for e in queue.pop_due(float("inf"))]
+        assert remaining == oracle
+        assert not queue
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, CalendarEventQueue])
+
+# --------------------------------------------------------------------- #
+# Queue edge cases (the class name predates the heap-only queue)          #
+# --------------------------------------------------------------------- #
+class TestCalendarQueueEquivalence:
+    @pytest.mark.parametrize("queue_cls", [EventQueue])
     def test_past_time_scheduling_raises(self, queue_cls):
         queue = queue_cls()
         queue.schedule(5.0, EventKind.SAMPLE)
@@ -125,25 +123,17 @@ class TestCalendarQueueEquivalence:
         # follow-ups at the current instant).
         queue.schedule(5.0, EventKind.SAMPLE)
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, CalendarEventQueue])
+    @pytest.mark.parametrize("queue_cls", [EventQueue])
     def test_pop_empty_raises(self, queue_cls):
         with pytest.raises(SimulationError):
             queue_cls().pop()
 
     def test_same_time_events_pop_in_insertion_order(self):
-        for queue in (EventQueue(), CalendarEventQueue()):
-            for _ in range(5):
-                queue.schedule(1.0, EventKind.SAMPLE)
-            sequences = [event.sequence for event in queue.pop_due(1.0)]
-            assert sequences == sorted(sequences)
-
-    def test_calendar_spanning_many_buckets(self):
-        queue = CalendarEventQueue(bucket_width=1.0)
-        times = [977.5, 3.25, 0.0, 512.0, 3.75, 512.0]
-        for time in times:
-            queue.schedule(time, EventKind.SAMPLE)
-        popped = [event.time for event in queue.pop_due(float("inf"))]
-        assert popped == sorted(times)
+        queue = EventQueue()
+        for _ in range(5):
+            queue.schedule(1.0, EventKind.SAMPLE)
+        sequences = [event.sequence for event in queue.pop_due(1.0)]
+        assert sequences == sorted(sequences)
 
 
 # --------------------------------------------------------------------- #
@@ -154,8 +144,8 @@ class TestGoldenDigests:
 
     Each scheme exercises a different optimised layer: ``eigentrust`` the
     incremental fixpoint, ``rocq`` the inlined manager aggregation and
-    opinion pooling, and every run the slotted events + calendar queue +
-    slimmed dispatch loop.
+    opinion pooling, and every run the slotted events + slimmed dispatch
+    loop.
     """
 
     @pytest.mark.parametrize(

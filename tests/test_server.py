@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -63,6 +64,17 @@ def request(server, method, path, body=None, timeout=30):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def raw_exchange(server, payload: bytes, timeout=10) -> bytes:
+    """Send raw bytes on a fresh connection; return everything sent back."""
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=timeout) as conn:
+        conn.sendall(payload)
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def wait_done(server, run_id, timeout=60):
@@ -122,6 +134,26 @@ class TestEndpoints:
             assert request(server, "GET", "/no/such/route")[0] == 404
             status, _ = request(server, "POST", "/runs", None)
             assert status == 400  # missing body
+
+    def test_negative_content_length_is_a_400(self, tmp_path):
+        with running_server(str(tmp_path / "s.db")) as server:
+            reply = raw_exchange(
+                server, b"POST /runs HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+            )
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert json.loads(body)["error"] == "malformed Content-Length"
+            # The server is still healthy afterwards.
+            assert request(server, "GET", "/health")[0] == 200
+
+    def test_unknown_request_field_is_a_400_with_did_you_mean(self, tmp_path):
+        body = dict(TINY_BODY, shards=2)
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = request(server, "POST", "/runs", body)
+            assert status == 400
+            assert document["kind"] == "request field"
+            assert "shards" in document["error"]
+            assert "seed" in document["known"]
 
     def test_ineligible_request_runs_without_persistence(self, tmp_path):
         body = dict(TINY_BODY, repeats=2)

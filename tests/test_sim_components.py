@@ -60,6 +60,10 @@ class TestEventQueue:
         queue.pop()
         with pytest.raises(SimulationError):
             queue.schedule(1.0, EventKind.SAMPLE)
+        # Exactly the last popped time is legal (the engine schedules
+        # follow-ups at the current instant).
+        assert queue.schedule(5.0, EventKind.SAMPLE).time == 5.0
+        assert queue.pop().time == 5.0
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):

@@ -278,12 +278,10 @@ class TestPersistFacet:
         with pytest.raises(ConfigurationError, match="'store'"):
             PersistSpec.parse({"key": "only"})
 
-    def test_persist_incompatible_with_repeats_trace_shards(self, tmp_path):
+    def test_persist_incompatible_with_repeats_and_trace(self, tmp_path):
         db = str(tmp_path / "x.db")
         with pytest.raises(ConfigurationError, match="repeats"):
             RunRequest(seed=1, repeats=2, persist=db)
-        with pytest.raises(ConfigurationError, match="shards"):
-            RunRequest(seed=1, shards=2, persist=db)
         with pytest.raises(ConfigurationError, match="trace"):
             RunRequest(
                 seed=1, trace={"record": str(tmp_path / "t.jsonl")}, persist=db
