@@ -44,7 +44,6 @@ __all__ = [
     "bench_quick_reference",
     "bench_ring_ops",
     "bench_assignment_lookup",
-    "bench_eigentrust_refresh",
     "run_hotpath_benchmarks",
     "compare_reports",
     "format_compare_table",
@@ -329,54 +328,6 @@ def bench_assignment_lookup(config: HotpathBenchConfig) -> dict[str, Any]:
     }
 
 
-def bench_eigentrust_refresh(config: HotpathBenchConfig) -> dict[str, Any]:
-    """Incremental EigenTrust refresh vs the full-rebuild path.
-
-    Seeds one interaction log, then measures the per-refresh cost of
-    ``score_table`` when each refresh only dirties a single rater row —
-    once on a system allowed to update incrementally and once on a system
-    forced to rebuild the local-trust matrix every call
-    (``full_recompute_every=1`` after priming).  Both produce bit-identical
-    matrices; only the time differs.
-    """
-    from ..reputation.eigentrust import EigenTrust
-
-    peers = min(200, max(40, config.lookup_ring_size // 10))
-    seed_reports = peers * 4
-    refreshes = max(10, config.churn_ops // 2)
-
-    def build(full_recompute_every: int) -> EigenTrust:
-        system = EigenTrust(full_recompute_every=full_recompute_every)
-        state = 12345
-        for index in range(seed_reports):
-            state = (state * 1103515245 + 12345) % (1 << 31)
-            rater = state % peers
-            state = (state * 1103515245 + 12345) % (1 << 31)
-            subject = state % peers
-            if rater != subject:
-                system.record_interaction(rater, subject, index % 3 != 0)
-        system.score_table()  # prime the matrix and warm vector
-        return system
-
-    def drive(system: EigenTrust) -> float:
-        started = time.perf_counter()
-        for index in range(refreshes):
-            system.record_interaction(index % peers, (index + 1) % peers, True)
-            system.score_table()
-        return (time.perf_counter() - started) / refreshes
-
-    incremental = drive(build(full_recompute_every=1_000_000))
-    full = drive(build(full_recompute_every=1))
-    return {
-        "peers": peers,
-        "seed_reports": seed_reports,
-        "refreshes": refreshes,
-        "full_rebuild_us_per_refresh": round(full * 1e6, 2),
-        "incremental_us_per_refresh": round(incremental * 1e6, 2),
-        "speedup": round(full / incremental, 2) if incremental > 0 else None,
-    }
-
-
 # --------------------------------------------------------------------- #
 # Report assembly                                                         #
 # --------------------------------------------------------------------- #
@@ -416,7 +367,6 @@ def run_hotpath_benchmarks(
         "micro": {
             "ring_ops": bench_ring_ops(config),
             "assignment_lookup": bench_assignment_lookup(config),
-            "eigentrust_refresh": bench_eigentrust_refresh(config),
         },
         "max_end_to_end_speedup": max(row["speedup"] for row in end_to_end),
         "all_bit_identical": all(row["bit_identical"] for row in end_to_end),

@@ -62,7 +62,6 @@ EXPECTED_TOP_KEYS = {
 EXPECTED_MICRO_KEYS = {
     "ring_ops",
     "assignment_lookup",
-    "eigentrust_refresh",
 }
 #: Provenance fields that make cross-machine comparisons interpretable.
 EXPECTED_PROVENANCE_KEYS = {

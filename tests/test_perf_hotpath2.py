@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.adversary import default_adversary_spec
 from repro.errors import SimulationError
 from repro.metrics.summary import summary_digest
 from repro.reputation.eigentrust import EigenTrust
@@ -35,6 +36,13 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 #: pre-optimisation engine.
 PREOPT_TRACE_DIGEST = (
     "5a0b9ba8236e8ce849ce76e77043fa582b783b0a057f09c1f9287f5a0350ad9b"
+)
+
+#: Digest of a 1,500-tx ``whitewash_waves`` run on the ``eigentrust``
+#: backend, recorded while EigenTrust still rebuilt its matrix from the log
+#: on every peer-set change and scaled the matrix inside the power loop.
+WHITEWASH_EIGENTRUST_DIGEST = (
+    "1e3ed9a59cab991d76893f57d79debf01fa6bc61e28a984c9b24fbbc7790332f"
 )
 
 
@@ -159,62 +167,195 @@ class TestGoldenDigests:
             f"golden digest"
         )
 
+    def test_whitewash_eigentrust_reproduces_recorded_digest(self):
+        """Peers keep joining mid-order, so this runs the matrix remap."""
+        params = (
+            paper_default(seed=1)
+            .scaled(1500 / 500_000)
+            .with_overrides(
+                reputation_scheme="eigentrust",
+                adversary=default_adversary_spec("whitewash_waves", 1500),
+            )
+        )
+        digest = summary_digest(Simulation(params).run())
+        assert digest == WHITEWASH_EIGENTRUST_DIGEST
+
 
 # --------------------------------------------------------------------- #
 # Incremental EigenTrust == from-scratch                                  #
 # --------------------------------------------------------------------- #
+def _pretrust_oracle(system: EigenTrust, peers: list[int]) -> np.ndarray:
+    """The pre-trust vector p, built the straightforward way."""
+    trusted = [peer for peer in peers if peer in system.pre_trusted]
+    vector = np.zeros(len(peers))
+    if trusted:
+        for peer in trusted:
+            vector[peers.index(peer)] = 1.0 / len(trusted)
+    elif peers:
+        vector[:] = 1.0 / len(peers)
+    return vector
+
+
+def _local_trust_oracle(system: EigenTrust, peers: list[int]) -> np.ndarray:
+    """Row-normalised local trust matrix C, rebuilt from the raw log."""
+    index = {peer: position for position, peer in enumerate(peers)}
+    matrix = np.zeros((len(peers), len(peers)))
+    for (rater, subject), positives in system.log.positive.items():
+        negatives = system.log.negative.get((rater, subject), 0)
+        matrix[index[rater], index[subject]] = max(positives - negatives, 0)
+    row_sums = matrix.sum(axis=1, keepdims=True)
+    distribution = _pretrust_oracle(system, peers)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(row_sums > 0, matrix / row_sums, distribution)
+
+
+def _power_loop_oracle(
+    system: EigenTrust, matrix: np.ndarray, pretrust: np.ndarray, trust: np.ndarray
+) -> np.ndarray:
+    """The power loop with the damped matrix recomputed every iteration."""
+    for _ in range(system.max_iterations):
+        updated = (1.0 - system.damping) * matrix.T @ trust + system.damping * pretrust
+        if np.abs(updated - trust).sum() < system.tolerance:
+            return updated
+        trust = updated
+    return trust
+
+
+def _raters_without_positive_trust(system: EigenTrust) -> set[int]:
+    """Raters with a satisfied report on file whose positive total is zero."""
+    log = system.log
+    trusting = {
+        rater
+        for (rater, subject), positives in log.positive.items()
+        if positives > log.negative.get((rater, subject), 0)
+    }
+    return {rater for rater, _ in log.positive} - trusting
+
+
+class _FromScratchReplay:
+    """Expected EigenTrust results, with nothing carried over but the warm start."""
+
+    def __init__(self, system: EigenTrust) -> None:
+        self.system = system
+        self.warm: dict[int, float] = {}
+
+    def global_trust(self) -> dict[int, float]:
+        peers = sorted(self.system.log.peers)
+        matrix = _local_trust_oracle(self.system, peers)
+        pretrust = _pretrust_oracle(self.system, peers)
+        trust = _power_loop_oracle(self.system, matrix, pretrust, pretrust.copy())
+        return {peer: float(value) for peer, value in zip(peers, trust)}
+
+    def score_table(self) -> dict[int, float]:
+        peers = sorted(self.system.log.peers)
+        matrix = _local_trust_oracle(self.system, peers)
+        pretrust = _pretrust_oracle(self.system, peers)
+        trust = np.array([self.warm.get(peer, 0.0) for peer in peers])
+        total = trust.sum()
+        trust = trust / total if total > 0 else pretrust.copy()
+        trust = _power_loop_oracle(self.system, matrix, pretrust, trust)
+        self.warm = {peer: float(value) for peer, value in zip(peers, trust)}
+        maximum = float(trust.max())
+        if maximum <= 0.0:
+            return {peer: 0.0 for peer in peers}
+        return {peer: float(value) / maximum for peer, value in zip(peers, trust)}
+
+
 class TestIncrementalEigenTrust:
-    def _random_feed(self, system: EigenTrust, seed: int, steps: int) -> None:
+    def _random_feed(self, system: EigenTrust, seed: int, steps: int):
+        """Yield after each refresh of one seeded random feed.
+
+        Peer ids enter the log in a shuffled order, so most newcomers land
+        below the current maximum id, in the middle of the sorted order.
+        Some steps take a rater's every positive pair back to zero net
+        trust, so its row falls back to pretrust; some add a peer to the
+        log without any interaction, the way a restored snapshot does.
+        """
         rng = np.random.default_rng(seed)
+        order = [int(peer) for peer in rng.permutation(40)]
+        active = order[:3]
         for step in range(steps):
-            rater, subject = rng.integers(0, 30, size=2)
-            if rater != subject:
-                system.record_interaction(
-                    int(rater), int(subject), bool(rng.random() < 0.7)
-                )
-            if step % 9 == 0:
-                system.score_table()
+            draw = rng.random()
+            if draw < 0.06 and len(active) < len(order):
+                active.append(order[len(active)])
+            elif draw < 0.08 and len(active) < len(order):
+                peer = order[len(active)]
+                active.append(peer)
+                system.log.peers.add(peer)
+            elif draw < 0.12:
+                rater = active[int(rng.integers(len(active)))]
+                for (pair_rater, subject), positives in list(
+                    system.log.positive.items()
+                ):
+                    if pair_rater == rater:
+                        negatives = system.log.negative.get((rater, subject), 0)
+                        for _ in range(positives - negatives):
+                            system.record_interaction(rater, subject, False)
+            else:
+                rater, subject = rng.choice(active, size=2)
+                if rater != subject:
+                    system.record_interaction(
+                        int(rater), int(subject), bool(rng.random() < 0.7)
+                    )
+            if step % 7 == 0:
+                yield
 
     def test_incremental_matrix_equals_from_scratch(self):
-        system = EigenTrust(pre_trusted={0, 1}, full_recompute_every=10_000)
-        self._random_feed(system, seed=11, steps=500)
-        system.score_table()
-        peers = sorted(system.log.peers)
-        assert np.array_equal(system._matrix, system._local_trust_matrix(peers))
-        assert system.incremental_refreshes > 0
+        """The cached matrix equals a rebuild from the log after every refresh."""
+        joins_below_max = fallen_rows = 0
+        for pre_trusted in (None, {0, 1}):
+            for seed in (11, 23, 37):
+                system = EigenTrust(pre_trusted=pre_trusted)
+                previous: list[int] = []
+                for _ in self._random_feed(system, seed=seed, steps=400):
+                    system.score_table()
+                    peers = sorted(system.log.peers)
+                    expected = _local_trust_oracle(system, peers)
+                    assert np.array_equal(system._matrix, expected)
+                    joined = set(peers) - set(previous)
+                    if previous and min(joined, default=previous[-1]) < previous[-1]:
+                        joins_below_max += 1
+                    fallen_rows += len(_raters_without_positive_trust(system))
+                    previous = peers
+        assert joins_below_max > 0 and fallen_rows > 0
 
     def test_incremental_scores_equal_always_rebuild_replay(self):
-        """Same feed, same refresh schedule: dirty-row updates vs rebuilds."""
-        incremental = EigenTrust(full_recompute_every=10_000)
-        rebuild = EigenTrust(full_recompute_every=1)
-        self._random_feed(incremental, seed=23, steps=400)
-        self._random_feed(rebuild, seed=23, steps=400)
-        assert incremental.score_table() == rebuild.score_table()
-        assert incremental.incremental_refreshes > 0
-        assert rebuild.full_rebuilds > incremental.full_rebuilds
+        """Warm-started tables and cold global trust, refresh after refresh."""
+        for pre_trusted in (None, {0, 1}):
+            system = EigenTrust(pre_trusted=pre_trusted)
+            replay = _FromScratchReplay(system)
+            refreshes = 0
+            for _ in self._random_feed(system, seed=5, steps=300):
+                assert system.score_table() == replay.score_table()
+                assert system.global_trust() == replay.global_trust()
+                refreshes += 1
+            assert refreshes > 30
 
-    def test_safety_valve_forces_periodic_rebuild(self):
-        system = EigenTrust(full_recompute_every=3)
-        system.record_interaction(1, 2, True)
-        system.score_table()  # first build
-        rebuilds_after_first = system.full_rebuilds
-        for _ in range(7):
-            system.record_interaction(1, 2, True)
-            system.score_table()
-        assert system.full_rebuilds > rebuilds_after_first
-
-    def test_peer_set_change_forces_rebuild(self):
-        system = EigenTrust(full_recompute_every=10_000)
-        system.record_interaction(1, 2, True)
+    def test_peer_set_change_remaps_cached_rows(self):
+        system = EigenTrust(pre_trusted={0})
+        system.record_interaction(5, 9, True)
+        system.record_interaction(9, 5, True)
+        system.record_interaction(1, 5, False)  # rater without positive trust
         system.score_table()
-        before = system.full_rebuilds
-        system.record_interaction(3, 1, False)  # new peer joins the log
+        # Peer 0 (pre-trusted) and peer 7 join below the current maximum id;
+        # raters 5, 9 and 1 file nothing new, so none of their rows is dirty.
+        system.record_interaction(0, 7, True)
         system.score_table()
-        assert system.full_rebuilds == before + 1
+        peers = sorted(system.log.peers)
+        assert peers == [0, 1, 5, 7, 9]
+        assert np.array_equal(system._matrix, _local_trust_oracle(system, peers))
+        # Rater 1's row moved from the uniform pretrust to peer 0's.
+        assert system._matrix[1].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
-    def test_rejects_nonpositive_valve(self):
-        with pytest.raises(ValueError):
-            EigenTrust(full_recompute_every=0)
+    def test_pre_trusted_cannot_change_in_place(self):
+        """The cached pretrust is rebuilt only when peers join, so the set
+        it was built from must not change under it."""
+        trusted = {0, 1}
+        system = EigenTrust(pre_trusted=trusted)
+        trusted.add(2)
+        assert system.pre_trusted == frozenset({0, 1})
+        assert isinstance(system.pre_trusted, frozenset)
+        assert EigenTrust().pre_trusted == frozenset()
 
 
 # --------------------------------------------------------------------- #
