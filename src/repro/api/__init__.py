@@ -5,8 +5,8 @@ One front door for everything the library can execute:
 * :class:`RunRequest` — a validated, JSON-round-trippable description of a
   simulation (scenario + scheme + adversary + overrides + seed/repeats);
 * :class:`SimulationService` — owns executor selection, the run cache and
-  the unified :func:`catalogue`; runs requests, batches, sweeps, the full
-  experiment suite and the benchmark suite;
+  the unified :func:`catalogue`; runs requests, batches, sweeps and the
+  full experiment suite;
 * :class:`RunHandle` — asynchronous submission with progress events and
   cooperative cancellation;
 * :class:`RunResult` / :class:`BatchResult` — results with wall-clock-free

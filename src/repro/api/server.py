@@ -19,7 +19,7 @@ A minimal JSON-over-HTTP server on the stdlib event loop
 ``GET  /reputation/<scheme>/<id>``  one peer's persisted reputation
 ``GET  /state``                   snapshot keys in the backing store
 ``GET  /report``                  consolidated report (robustness matrix +
-                                  detection quality + committed benchmark);
+                                  detection quality);
                                   query params: ``sections``, ``scenario``,
                                   ``scale``, ``repeats``, ``seed``,
                                   ``schemes``, ``attacks`` (lists are
@@ -44,6 +44,7 @@ browsers hammering keep-alive pools.
 from __future__ import annotations
 
 import asyncio
+import http
 import json
 import signal
 import threading
@@ -68,6 +69,10 @@ REGISTRY_KEY = "service/runs"
 #: Pseudo-scheme tag for the registry snapshot (it is service state, not a
 #: reputation backend's).
 REGISTRY_SCHEME = "_service"
+
+#: Largest request body read; a longer ``Content-Length`` is answered 413
+#: before any of the body is read (a run request is a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass
@@ -474,6 +479,10 @@ class ReputationServer:
                     raise _HttpError(400, "malformed Content-Length") from None
                 if content_length < 0:
                     raise _HttpError(400, "malformed Content-Length")
+                if content_length > MAX_BODY_BYTES:
+                    raise _HttpError(
+                        413, f"request body exceeds {MAX_BODY_BYTES} bytes"
+                    )
         body: dict[str, Any] | None = None
         if content_length:
             raw = await reader.readexactly(content_length)
@@ -491,10 +500,8 @@ class ReputationServer:
         self, writer: asyncio.StreamWriter, status: int, document: Any
     ) -> None:
         payload = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 500: "Internal Server Error"}
         writer.write(
-            f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
+            f"HTTP/1.1 {status} {http.HTTPStatus(status).phrase}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n".encode("latin-1")

@@ -18,8 +18,8 @@ Six subcommands, all thin shims over :class:`repro.api.SimulationService`:
     through property-based invariant checks.
 ``experiment``
     The experiment suite (tables/figures of the paper).
-``bench``
-    The hot-path benchmark suite.
+``bench profile``
+    A cProfile hotspot report of the growth_stress workload, by subsystem.
 ``catalogue``
     Every registry — reputation schemes, scenarios, adversaries,
     experiments, fuzz generators — as text or ``--json``.
@@ -563,7 +563,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             base_params=base_params,
             schemes=args.schemes,
             attacks=args.attacks,
-            bench_path=args.bench,
             progress=_stderr,
         )
     print(render_json(document) if args.json else render_markdown(document), end="")
@@ -576,73 +575,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # bench                                                                   #
 # --------------------------------------------------------------------- #
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported per command: only this subcommand needs the bench package.
-    from .bench.hotpath import (
-        HotpathBenchConfig,
-        compare_reports,
-        format_compare_table,
-        write_report,
-    )
-
-    if args.quick:
-        config = HotpathBenchConfig.quick()
-    else:
-        config = HotpathBenchConfig(
-            num_transactions=args.transactions,
-            seed=args.seed,
-        )
-    if args.warmup is not None:
-        config = replace(config, warmup=args.warmup)
-
-    _stderr(
-        f"benchmarking hot path ({config.num_transactions:,} transactions "
-        f"per end-to-end run, ring sizes {list(config.ring_sizes)}) ..."
-    )
-    with SimulationService() as service:
-        report = service.bench(config)
-    path = write_report(report, args.out)
-
-    for row in report["end_to_end"]:
-        print(
-            f"{row['workload']:16s} {row['before']['tx_per_sec']:>10,.0f} -> "
-            f"{row['after']['tx_per_sec']:>10,.0f} tx/s "
-            f"({row['speedup']:.2f}x, bit_identical={row['bit_identical']})"
-        )
-    for row in report["micro"]["ring_ops"]:
-        print(
-            f"ring n={row['ring_size']:<6d} {row['before_us_per_op']:>8.1f} -> "
-            f"{row['after_us_per_op']:>6.1f} us/op ({row['speedup']:.0f}x)"
-        )
-    lookup = report["micro"]["assignment_lookup"]
-    print(
-        f"assignment lookup: cold {lookup['cold_us_per_lookup']:.1f} us, "
-        f"cached {lookup['cached_us_per_lookup']:.1f} us "
-        f"({lookup['cache_speedup']:.0f}x); one join evicted "
-        f"{lookup['targeted_eviction']['evicted_by_one_join']} of "
-        f"{lookup['targeted_eviction']['cached_subjects']} cached subjects"
-    )
-    print(f"report written to {path}")
-    if not report["all_bit_identical"]:
-        _stderr("ERROR: legacy and incremental paths diverged!")
-        return 1
-    if args.compare is not None:
-        try:
-            baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            _stderr(f"error: cannot read baseline report {args.compare}: {exc}")
-            return 2
-        comparison = compare_reports(baseline, report, tolerance=args.tolerance)
-        print(format_compare_table(comparison))
-        if comparison["regressed"]:
-            _stderr(
-                f"ERROR: throughput regressed more than "
-                f"{args.tolerance:.0%} vs {args.compare}"
-            )
-            return 1
-    return 0
-
-
 def _cmd_bench_profile(args: argparse.Namespace) -> int:
     from .bench.profiling import (
         format_profile_text,
@@ -712,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog=_PROG,
         description=(
             "Reputation-lending reproduction: run simulations, regenerate "
-            "the paper's experiments, benchmark the hot path, or list every "
+            "the paper's experiments, profile the hot path, or list every "
             "registry — all through the repro.api service layer."
         ),
     )
@@ -996,14 +928,14 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help=(
             "consolidated cross-run report: robustness matrix + detection "
-            "quality + the committed hot-path benchmark in one artifact"
+            "quality in one artifact"
         ),
     )
     report_parser.add_argument(
         "--sections",
         nargs="*",
         default=None,
-        help="subset of report sections (robustness, detection, bench)",
+        help="subset of report sections (robustness, detection)",
     )
     report_parser.add_argument(
         "--scale",
@@ -1039,14 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict both grid experiments to these adversary strategies",
     )
     report_parser.add_argument(
-        "--bench",
-        default="BENCH_hotpath.json",
-        help=(
-            "committed benchmark report for the bench section "
-            "(default: ./BENCH_hotpath.json; missing file degrades to a note)"
-        ),
-    )
-    report_parser.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -1062,54 +986,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="benchmark the membership-change hot path and write a JSON report",
+        help="profile the simulation hot path (subcommand: profile)",
     )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH_hotpath.json",
-        help="where to write the JSON report (default: ./BENCH_hotpath.json)",
+    bench_subparsers = bench_parser.add_subparsers(
+        dest="bench_command", required=True
     )
-    bench_parser.add_argument(
-        "--transactions",
-        type=int,
-        default=5_000,
-        help="horizon of each end-to-end workload run (default: 5000)",
-    )
-    bench_parser.add_argument("--seed", type=int, default=1, help="master seed")
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny sizes for CI smoke runs (overrides --transactions; "
-        "runs with 0 warmup iterations)",
-    )
-    bench_parser.add_argument(
-        "--warmup",
-        type=_nonnegative_int,
-        default=None,
-        help="untimed end-to-end runs before each timed one "
-        "(default: 1, or 0 with --quick)",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE.json",
-        help=(
-            "after benchmarking, compare per-workload tx/s against this "
-            "committed report and exit 1 on a regression beyond --tolerance"
-        ),
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help=(
-            "fractional throughput drop tolerated by --compare before the "
-            "gate fails (default: 0.25)"
-        ),
-    )
-    bench_parser.set_defaults(handler=_cmd_bench, bench_command=None)
-
-    bench_subparsers = bench_parser.add_subparsers(dest="bench_command")
     profile_parser = bench_subparsers.add_parser(
         "profile",
         help=(
@@ -1172,9 +1053,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Exit codes: 0 success, 1 a run that completed but failed its check —
-    experiment shape-checks, benchmark divergence, an unmodified replay that
-    did not reproduce the recording, divergent traces under ``trace diff``,
-    fuzz invariant violations — and 2 anything that failed to validate:
+    experiment shape-checks, an unmodified replay that did not reproduce
+    the recording, divergent traces under ``trace diff``, fuzz invariant
+    violations — and 2 anything that failed to validate:
     unknown names (with a did-you-mean hint), malformed values, bad flag
     combinations.
     """

@@ -10,9 +10,8 @@ can be measured.
 Membership changes are incremental, as in Chord itself: a join or leave only
 touches the two neighbouring nodes' successor/predecessor pointers, and the
 ring records which arc changed hands in :attr:`ChordRing.last_change` so
-downstream caches can invalidate selectively.  The old whole-ring rewiring
-survives as :meth:`ChordRing.rewire_all` — the reference implementation the
-property tests (and the benchmark harness's legacy mode) compare against.
+downstream caches can invalidate selectively.  The property tests check the
+pointers against a whole-ring rewire of the sorted keys after every change.
 """
 
 from __future__ import annotations
@@ -227,21 +226,3 @@ class ChordRing:
             ):
                 return finger_key
         return None
-
-    # ------------------------------------------------------------------ #
-    # Reference rewiring                                                   #
-    # ------------------------------------------------------------------ #
-    def rewire_all(self) -> None:
-        """Rebuild every successor/predecessor pointer from the sorted keys.
-
-        O(n) over the whole ring — ``join``/``leave`` no longer need it, but
-        it remains the ground truth that incremental rewiring is checked
-        against (property tests) and the cost model of the benchmark
-        harness's legacy mode.
-        """
-        keys = self._sorted_keys
-        total = len(keys)
-        for index, key in enumerate(keys):
-            node = self._nodes_by_key[key]
-            node.successor = keys[(index + 1) % total]
-            node.predecessor = keys[(index - 1) % total]

@@ -1,22 +1,18 @@
 """Consolidated cross-run reporting.
 
 One command — ``python -m repro report`` — or one HTTP call — ``GET
-/report`` on :mod:`repro.api.server` — merges the three evidence streams
-the reproduction produces into a single artifact:
+/report`` on :mod:`repro.api.server` — merges the two evidence streams
+the reproduction's grid experiments produce into a single artifact:
 
-* the **robustness matrix** (what each attack bought under each scheme),
+* the **robustness matrix** (what each attack bought under each scheme), and
 * the **detection evaluation** (how well each scheme ranked the attackers
-  and how calibrated its scores are), and
-* the committed **hot-path benchmark** report (what the reproduction costs
-  to run and that the optimised core is bit-identical to the seed).
+  and how calibrated its scores are).
 
 :func:`~repro.report.consolidated.generate_report` returns the merged JSON
 document, :func:`~repro.report.consolidated.render_markdown` renders it as
 Markdown, and :func:`~repro.report.consolidated.write_report` persists
 both.  The document is deterministic byte-for-byte at a fixed seed: it
-contains no wall-clock readings, experiment results are seed-derived, and
-the benchmark section is read from the committed ``BENCH_hotpath.json``
-rather than re-measured.
+contains no wall-clock readings and experiment results are seed-derived.
 """
 
 from .consolidated import (

@@ -6,8 +6,9 @@ would, and targeted cache eviction must leave the reputation store's
 assignment cache indistinguishable from a cold recompute — after *any*
 sequence of joins and leaves.  The randomized property tests here drive both
 through hundreds of membership changes and compare against the reference
-implementations (``ChordRing.rewire_all`` and
-``ScoreManagerAssignment.managers_for``) at every step.
+implementations (:func:`_rewire_all_oracle`, the whole-ring rewiring the seed
+engine ran on every change, and ``ScoreManagerAssignment.managers_for``) at
+every step.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ from repro.reputation.adapters import LogReputationBackend
 from repro.reputation.backend import notify_membership_change
 from repro.reputation.beta import BetaReputation
 from repro.rocq.store import ReputationStore
+
+
+def _rewire_all_oracle(ring: ChordRing) -> None:
+    """Rebuild every successor/predecessor pointer from the sorted keys.
+
+    O(n) over the whole ring: the seed engine's rewiring on every join and
+    leave, kept as the ground truth incremental rewiring is checked against.
+    """
+    keys = ring._sorted_keys
+    total = len(keys)
+    for index, key in enumerate(keys):
+        node = ring._nodes_by_key[key]
+        node.successor = keys[(index + 1) % total]
+        node.predecessor = keys[(index - 1) % total]
 
 
 def assert_pointers_match_reference(ring: ChordRing) -> None:
@@ -113,7 +128,7 @@ class TestIncrementalRewiring:
             key: (node.successor, node.predecessor)
             for key, node in ring._nodes_by_key.items()
         }
-        ring.rewire_all()
+        _rewire_all_oracle(ring)
         after = {
             key: (node.successor, node.predecessor)
             for key, node in ring._nodes_by_key.items()

@@ -2,8 +2,7 @@
 
 The load-bearing contract is byte determinism: at a fixed seed the merged
 JSON and Markdown artifacts are a pure function of the configuration — no
-wall-clock fields, sorted keys, seed-derived experiment results, and a
-bench section *read* from the committed report rather than re-measured.
+wall-clock fields, sorted keys and seed-derived experiment results.
 """
 
 from __future__ import annotations
@@ -41,31 +40,26 @@ TINY_BASE = SimulationParameters(
     seed=17,
 )
 
-BENCH_FIXTURE = {
-    "description": "fixture benchmark",
-    "all_bit_identical": True,
-    "max_end_to_end_speedup": 2.5,
-    "end_to_end": [
-        {
-            "workload": "figure1_growth",
-            "arrival_rate": 0.01,
-            "speedup": 2.5,
-            "bit_identical": True,
-            "before": {"tx_per_sec": 1000.0},
-            "after": {"tx_per_sec": 2500.0},
-        }
-    ],
-}
+#: The CI detection smoke's sub-grid, as ``repro report`` flags.
+DETECTION_ARGV = [
+    "report",
+    "--scenario",
+    "tiny_test",
+    "--seed",
+    "17",
+    "--repeats",
+    "1",
+    "--schemes",
+    "rocq",
+    "tit_for_tat",
+    "--attacks",
+    "whitewash_waves",
+    "--sections",
+    "detection",
+]
 
 
-@pytest.fixture()
-def bench_file(tmp_path):
-    path = tmp_path / "BENCH_fixture.json"
-    path.write_text(json.dumps(BENCH_FIXTURE))
-    return path
-
-
-def tiny_report(bench_path, sections=None):
+def tiny_report(sections=None):
     return generate_report(
         sections,
         scale=1.0,
@@ -74,7 +68,6 @@ def tiny_report(bench_path, sections=None):
         base_params=TINY_BASE,
         schemes=["rocq", "tit_for_tat"],
         attacks=["whitewash_waves"],
-        bench_path=bench_path,
     )
 
 
@@ -83,9 +76,9 @@ class TestSections:
         assert resolve_report_sections(None) == REPORT_SECTIONS
 
     def test_selection_is_reordered_canonically_and_deduplicated(self):
-        assert resolve_report_sections(["bench", "detection", "bench"]) == (
+        assert resolve_report_sections(["detection", "robustness", "detection"]) == (
+            "robustness",
             "detection",
-            "bench",
         )
 
     def test_unknown_section_raises_with_did_you_mean(self):
@@ -93,6 +86,8 @@ class TestSections:
             resolve_report_sections(["detectoin"])
         assert excinfo.value.kind == "report section"
         assert excinfo.value.hint == "detection"
+        with pytest.raises(UnknownNameError):
+            resolve_report_sections(["bench"])
 
     def test_unknown_scheme_and_attack_are_validated_up_front(self):
         with pytest.raises(UnknownNameError):
@@ -102,50 +97,41 @@ class TestSections:
 
 
 class TestGenerateReport:
-    def test_merges_all_three_sources_deterministically(self, bench_file):
-        first = tiny_report(bench_file)
-        second = tiny_report(bench_file)
+    def test_merges_both_sections_deterministically(self):
+        first = tiny_report()
+        second = tiny_report()
         assert render_json(first) == render_json(second)
         assert render_markdown(first) == render_markdown(second)
-        assert first["sections"] == ["robustness", "detection", "bench"]
+        assert first["sections"] == ["robustness", "detection"]
         assert first["robustness"]["experiment_id"] == "robustness_matrix"
         assert first["detection"]["experiment_id"] == "detection_eval"
-        assert first["bench"]["available"] is True
         assert first["checks"]["total"] > 0
 
-    def test_json_rendering_is_standard_json(self, bench_file):
-        document = tiny_report(bench_file, sections=["detection", "bench"])
+    def test_json_rendering_is_standard_json(self):
+        document = tiny_report(sections=["detection"])
         # NaN cells (undetected adversaries) must serialise as null, not as
         # bare NaN tokens.
         parsed = json.loads(render_json(document))
-        assert parsed["sections"] == ["detection", "bench"]
+        assert parsed["sections"] == ["detection"]
 
-    def test_section_filter_skips_experiments(self, bench_file):
-        document = tiny_report(bench_file, sections=["bench"])
-        assert document["sections"] == ["bench"]
+    def test_section_filter_skips_experiments(self):
+        document = tiny_report(sections=["detection"])
+        assert document["sections"] == ["detection"]
         assert "robustness" not in document
-        assert "detection" not in document
-        assert document["checks"]["total"] == 0
+        assert {row["experiment"] for row in document["checks"]["rows"]} == {
+            "detection_eval"
+        }
 
-    def test_missing_bench_file_degrades_to_a_note(self, tmp_path):
-        document = generate_report(
-            ["bench"], bench_path=tmp_path / "missing.json"
-        )
-        assert document["bench"]["available"] is False
-        assert "note" in document["bench"]
-        # The degraded section still renders.
-        assert "Hot-path benchmark" in render_markdown(document)
-
-    def test_config_block_records_the_grid(self, bench_file):
-        document = tiny_report(bench_file, sections=["bench"])
+    def test_config_block_records_the_grid(self):
+        document = tiny_report(sections=["detection"])
         assert document["config"]["seed"] == 17
         assert document["config"]["schemes"] == ["rocq", "tit_for_tat"]
         assert document["config"]["attacks"] == ["whitewash_waves"]
 
-    def test_write_report_persists_both_artifacts(self, bench_file, tmp_path):
-        document = tiny_report(bench_file, sections=["bench"])
+    def test_write_report_persists_both_artifacts(self, tmp_path):
+        document = tiny_report(sections=["detection"])
         json_path, markdown_path = write_report(document, tmp_path / "out")
-        assert json.loads(json_path.read_text())["sections"] == ["bench"]
+        assert json.loads(json_path.read_text())["sections"] == ["detection"]
         assert markdown_path.read_text() == render_markdown(document)
         # Re-writing the same document produces identical bytes.
         first_bytes = json_path.read_bytes()
@@ -159,37 +145,28 @@ class TestReportCli:
         captured = capsys.readouterr()
         return exit_code, captured.out, captured.err
 
-    def test_bench_only_report_renders_markdown(self, capsys, bench_file, tmp_path):
+    def test_detection_only_report_renders_markdown(self, capsys, tmp_path):
         exit_code, out, err = self.run_cli(
-            capsys,
-            [
-                "report",
-                "--sections",
-                "bench",
-                "--bench",
-                str(bench_file),
-                "--out",
-                str(tmp_path / "report"),
-            ],
+            capsys, [*DETECTION_ARGV, "--out", str(tmp_path / "report")]
         )
         assert exit_code == 0
         assert out.startswith("# Consolidated report")
-        assert "fixture benchmark" in out
+        assert "## detection_eval" in out
         assert (tmp_path / "report" / "report.json").exists()
         assert (tmp_path / "report" / "report.md").exists()
 
-    def test_json_flag_prints_the_document(self, capsys, bench_file):
-        exit_code, out, _ = self.run_cli(
-            capsys,
-            ["report", "--sections", "bench", "--bench", str(bench_file), "--json"],
-        )
+    def test_json_flag_prints_the_document(self, capsys):
+        exit_code, out, _ = self.run_cli(capsys, [*DETECTION_ARGV, "--json"])
         assert exit_code == 0
-        assert json.loads(out)["sections"] == ["bench"]
+        assert json.loads(out)["sections"] == ["detection"]
 
     def test_unknown_section_exits_2_with_hint(self, capsys):
         exit_code, _, err = self.run_cli(capsys, ["report", "--sections", "detectoin"])
         assert exit_code == 2
         assert "did you mean 'detection'" in err
+        exit_code, _, err = self.run_cli(capsys, ["report", "--sections", "bench"])
+        assert exit_code == 2
+        assert "unknown report section" in err
 
     def test_unknown_scheme_exits_2(self, capsys):
         exit_code, _, err = self.run_cli(
@@ -242,9 +219,10 @@ class TestReportEndpoint:
 
     def test_bad_query_values_are_400(self):
         with running_server("memory://report-endpoint-errors") as server:
-            status, document = get(server, "/report?sections=nope")
-            assert status == 400
-            assert "unknown report section" in document["error"]
+            for sections in ("nope", "bench"):
+                status, document = get(server, f"/report?sections={sections}")
+                assert status == 400
+                assert "unknown report section" in document["error"]
             status, document = get(server, "/report?seed=abc")
             assert status == 400
             assert "seed" in document["error"]

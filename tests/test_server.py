@@ -15,6 +15,7 @@ import threading
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+from http import HTTPStatus
 
 import pytest
 
@@ -144,6 +145,23 @@ class TestEndpoints:
             assert head.startswith(b"HTTP/1.1 400 "), reply
             assert json.loads(body)["error"] == "malformed Content-Length"
             # The server is still healthy afterwards.
+            assert request(server, "GET", "/health")[0] == 200
+
+    def test_oversized_content_length_is_a_413_without_reading_the_body(
+        self, tmp_path
+    ):
+        with running_server(str(tmp_path / "s.db")) as server:
+            # Only 2 of the announced bytes ever arrive: a server that waits
+            # for the whole body never answers and the recv times out.
+            reply = raw_exchange(
+                server,
+                b"POST /runs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n{}",
+                timeout=5,
+            )
+            head, _, body = reply.partition(b"\r\n\r\n")
+            status_line = head.split(b"\r\n")[0].decode("latin-1")
+            assert status_line == f"HTTP/1.1 413 {HTTPStatus(413).phrase}", reply
+            assert "exceeds" in json.loads(body)["error"]
             assert request(server, "GET", "/health")[0] == 200
 
     def test_unknown_request_field_is_a_400_with_did_you_mean(self, tmp_path):
